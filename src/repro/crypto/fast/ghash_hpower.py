@@ -26,6 +26,15 @@ Both variants are byte-identical to the serial chain; the dispatcher
 (:func:`ghash_blocks_hpower`) picks per message size and numpy
 availability.  Table sets are LRU-memoized per ``(subkey, k)`` and
 dropped by :func:`repro.crypto.fast.clear_caches`.
+
+Every new or rekeyed GCM channel brings a fresh subkey and so pays one
+table build.  The numpy tables are therefore built for all k powers at
+once, one byte-position row at a time: row 0 from the single-bit
+products ``H^p * x^j`` plus XOR doubling (the linearity
+:mod:`~repro.crypto.fast.gf128_tables` documents), each later row as
+the one before times ``x^8``, a one-byte shift plus a gather from a
+numpy copy of the byte-reduction table.  At the default fold that costs
+a few milliseconds, where k separate pure-Python table sets cost ~0.1 s.
 """
 
 from __future__ import annotations
@@ -34,11 +43,12 @@ from functools import lru_cache
 from typing import List, Tuple
 
 from repro.crypto.fast.gf128_tables import (
+    _R_BYTE,
     build_ghash_tables,
     gf128_mul_tabulated,
     ghash_blocks_tabulated,
 )
-from repro.crypto.gf128 import MASK128
+from repro.crypto.gf128 import MASK128, R_POLY
 
 try:  # pragma: no cover - exercised implicitly by every import
     import numpy as _np
@@ -67,6 +77,11 @@ MIN_FOLD_BLOCKS = 16
 HPOWER_SLOTS = 8
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+
+if HAVE_NUMPY:
+    # Every x^8 reduction lies in the top 16 bits (``R_POLY`` shifted
+    # right at most 7 times), so only its high half is tabulated.
+    _R_BYTE_HI = _np.array([v >> 64 for v in _R_BYTE], dtype=_np.uint64)
 
 
 def _powers(h: int, k: int) -> List[int]:
@@ -97,21 +112,44 @@ def hpower_tables_vec(h: int, k: int = DEFAULT_FOLD):
 
     ``hi[p-1, pos, b]`` / ``lo[p-1, pos, b]`` hold the high/low halves
     of byte value *b* at byte position *pos* multiplied by ``H^p``.
-    The per-power Python tables are built transiently and discarded —
-    only the packed arrays stay resident in the LRU.
+    Each byte-position row is built for all k powers at once, with the
+    same GF(2)-linear steps as
+    :func:`~repro.crypto.fast.gf128_tables.build_ghash_tables`:
+
+    - row 0's eight single-bit entries are ``H^p * x^j`` (j = 0..7),
+      each a shift plus a conditional ``R_POLY`` XOR on length-k
+      hi/lo vectors; the other 248 entries fill by XOR doubling;
+    - row *pos* is row *pos-1* times ``x^8``: a 128-bit shift right by
+      one byte plus a gather of the shifted-out byte's reduction.
+
+    The working row is a ``(k, 256)`` hi/lo pair copied into place after
+    each step, so no temporary grows to the size of the result.
     """
     if not HAVE_NUMPY:
         raise RuntimeError("hpower_tables_vec requires numpy")
+    powers = _powers(h, k)
     hi = _np.empty((k, 16, 256), dtype=_np.uint64)
     lo = _np.empty((k, 16, 256), dtype=_np.uint64)
-    for index, power in enumerate(_powers(h, k)):
-        flat = [value for row in build_ghash_tables(power) for value in row]
-        hi[index] = _np.array(
-            [value >> 64 for value in flat], dtype=_np.uint64
-        ).reshape(16, 256)
-        lo[index] = _np.array(
-            [value & _MASK64 for value in flat], dtype=_np.uint64
-        ).reshape(16, 256)
+    row_hi = _np.zeros((k, 256), dtype=_np.uint64)
+    row_lo = _np.zeros((k, 256), dtype=_np.uint64)
+    cur_hi = _np.array([p >> 64 for p in powers], dtype=_np.uint64)
+    cur_lo = _np.array([p & _MASK64 for p in powers], dtype=_np.uint64)
+    for bit in (128, 64, 32, 16, 8, 4, 2, 1):
+        row_hi[:, bit], row_lo[:, bit] = cur_hi, cur_lo
+        carry = cur_lo & 1
+        cur_lo = (cur_lo >> 1) | (cur_hi << 63)
+        cur_hi = (cur_hi >> 1) ^ (carry * (R_POLY >> 64))
+    for bit in (2, 4, 8, 16, 32, 64, 128):
+        row_hi[:, bit + 1 : 2 * bit] = row_hi[:, 1:bit] ^ row_hi[:, bit, None]
+        row_lo[:, bit + 1 : 2 * bit] = row_lo[:, 1:bit] ^ row_lo[:, bit, None]
+    hi[:, 0], lo[:, 0] = row_hi, row_lo
+    for pos in range(1, 16):
+        reduction = _R_BYTE_HI.take(row_lo & 255)
+        row_lo >>= 8
+        row_lo |= row_hi << 56
+        row_hi >>= 8
+        row_hi ^= reduction
+        hi[:, pos], lo[:, pos] = row_hi, row_lo
     return hi, lo
 
 

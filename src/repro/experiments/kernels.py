@@ -19,12 +19,14 @@ derive the speedup table.
 
 from __future__ import annotations
 
+import itertools
 import random
 import re
 import time
 from typing import Callable, Dict, Tuple
 
 from repro.crypto import AES, ccm_encrypt, gcm_encrypt
+from repro.crypto.fast import clear_caches
 from repro.crypto.fast.batch import ccm_seal_many, gcm_seal_many
 from repro.crypto.fast.bulk import ccm_seal, ctr_xcrypt_bulk, gcm_seal
 from repro.crypto.fast.exec import resolve_backend
@@ -339,6 +341,22 @@ def _kernel_events() -> int:
     return sim.now
 
 
+def _gcm_cold_key() -> Callable[[], object]:
+    """One 2 KB GCM seal per op under a fresh key on cleared caches.
+
+    Every op pays the whole per-key set-up (key schedule, Shoup tables,
+    H-power tables) that a newly opened or rekeyed channel pays.
+    """
+    seeds = itertools.count(1000)
+
+    def run():
+        clear_caches()
+        key = deterministic_bytes(16, next(seeds))
+        return gcm_seal_many(key, GCM_BATCH[:1], 16)
+
+    return run
+
+
 def build_kernels() -> Dict[str, Callable[[], object]]:
     """Name -> zero-arg callable for one benchmark iteration."""
     ref_cipher = AES(KEY, use_fast=False)
@@ -370,6 +388,7 @@ def build_kernels() -> Dict[str, Callable[[], object]]:
         # One iteration seals BATCH_PACKETS packets; ops/s is batches/s,
         # so per-packet throughput is ops/s x BATCH_PACKETS (run_bench
         # derives the `<base>_batch<N>_per_packet` speedups from this).
+        "gcm_2kb_cold_key_fast": _gcm_cold_key(),
         "gcm_2kb_batch32_fast": lambda: gcm_seal_many(KEY, GCM_BATCH, 16),
         "ccm_2kb_batch32_fast": lambda: ccm_seal_many(KEY, CCM_BATCH, 8),
         # Backend-parametrized twins of the batch kernels: same packets
@@ -449,6 +468,7 @@ KERNEL_NAMES = (
     "gcm_2kb_fast",
     "ccm_2kb_reference",
     "ccm_2kb_fast",
+    "gcm_2kb_cold_key_fast",
     "gcm_2kb_batch32_fast",
     "ccm_2kb_batch32_fast",
     "gcm_2kb_batch32_thread_fast",
@@ -499,6 +519,11 @@ def correctness_check(name: str) -> bool:
         return ccm_encrypt(KEY, NONCE, PACKET, b"", 8, False) == ccm_encrypt(
             KEY, NONCE, PACKET, b"", 8, True
         )
+    if name == "gcm_2kb_cold_key_fast":
+        key = deterministic_bytes(16, 999)
+        clear_caches()
+        (sealed,) = gcm_seal_many(key, GCM_BATCH[:1], 16)
+        return sealed == gcm_encrypt(key, GCM_BATCH[0][0], PACKET, b"", 16, False)
     if name == "gcm_2kb_batch32_fast":
         # Whole batch against the sequential fast API, plus one packet
         # against the reference path (reference GCM is ~100x slower, so

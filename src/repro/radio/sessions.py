@@ -35,7 +35,7 @@ import enum
 import hashlib
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.throughput import WorkloadReport
@@ -186,7 +186,9 @@ class SessionWorkload:
     dataplane: str = "batched"
     #: Execution backend for the dispatches (None = platform default).
     backend: BackendSpec = None
-    #: Flush policy installed on every session channel (None = default).
+    #: Flush policy for the session channels (None = default).  Each
+    #: manager copies it once and shares the copy across its channels,
+    #: so auto-mode retuning never changes the workload's own policy.
     flush_policy: Optional[FlushPolicy] = None
     #: Bounded-queue high watermark per session channel (None =
     #: unbounded).
@@ -388,8 +390,17 @@ class SessionManager:
     # -- provisioning ------------------------------------------------------
 
     def _provision(self) -> None:
-        """Open every planned segment channel with its epoch-0 key."""
+        """Open every planned segment channel with its epoch-0 key.
+
+        The workload's flush policy is copied once per manager and the
+        copy is shared by all of its channels: auto mode retunes the
+        policy in place, and that must not leak into the next run of
+        the same workload.
+        """
         mccp = self.platform.mccp
+        policy = self.workload.flush_policy
+        if policy is not None:
+            policy = replace(policy)
         for plan in self.plans:
             std = STANDARD_PROFILES[plan.profile.standard]
             for seg in plan.segments:
@@ -405,8 +416,8 @@ class SessionManager:
                 channel = mccp.open_channel(
                     std.algorithm, key_id, tag_length=std.tag_length or 16
                 )
-                if self.workload.flush_policy is not None:
-                    channel.flush_policy = self.workload.flush_policy
+                if policy is not None:
+                    channel.flush_policy = policy
                 if self.workload.queue_capacity is not None:
                     channel.capacity = self.workload.queue_capacity
                 self.channels[(plan.sid, seg.segment)] = channel

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import replace
 
 import pytest
 
 from repro.analysis.throughput import ClassSla, SlaSpec
+from repro.mccp.channel import FlushPolicy
 from repro.radio.admission import AdmissionPolicy
 from repro.radio.sessions import (
     DEFAULT_MIX,
@@ -214,6 +216,45 @@ class TestExecution:
         assert any(a[key] == b[key] for key in a)
         assert any(a[key] != b[key] for key in a)
         assert report_b.auth_failures == 0
+
+
+class TestFlushPolicyIsolation:
+    AUTO = replace(
+        STORM,
+        sessions=16,
+        arrival="bursty",
+        flush_policy=FlushPolicy(mode="auto"),
+        queue_capacity=24,
+        admission=AdmissionPolicy(rate_per_kcycle=4.0),
+    )
+
+    @staticmethod
+    def _run(workload):
+        manager = SessionManager.provisioned(workload, seed=SEED)
+        report = manager.run()
+        digest = hashlib.sha256()
+        for key, (payload, tag) in sorted(_transfers(manager).items()):
+            digest.update(repr(key).encode() + payload + tag)
+        return report, digest.hexdigest()
+
+    def test_channels_share_one_copy_of_the_policy(self):
+        manager = SessionManager.provisioned(self.AUTO, seed=SEED)
+        policies = {id(c.flush_policy) for c in manager.channels.values()}
+        assert len(policies) == 1
+        (channel, *_) = manager.channels.values()
+        assert channel.flush_policy is not self.AUTO.flush_policy
+        assert channel.flush_policy == self.AUTO.flush_policy
+
+    def test_reused_auto_workload_repeats_exactly(self):
+        workload = replace(self.AUTO, flush_policy=FlushPolicy(mode="auto"))
+        before = replace(workload.flush_policy)
+        first, first_digest = self._run(workload)
+        assert first.autotune_adjustments > 0  # the controller did retune
+        second, second_digest = self._run(workload)
+        assert second.total_cycles == first.total_cycles
+        assert second_digest == first_digest
+        assert second.autotune_traces == first.autotune_traces
+        assert workload.flush_policy == before
 
 
 class TestOverloadedSessions:

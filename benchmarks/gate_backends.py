@@ -29,7 +29,7 @@ Two perf gates, each scoped to hosts that can actually express it:
   runners; the byte-identity half of the check fails hard anywhere.
 
 Byte equality across every backend leg, the pipelined-dataplane
-identity, and the worker-crash chaos leg (survivor transcripts
+identity (pipeline depth 2 against depth 0, the batched drain), and the worker-crash chaos leg (survivor transcripts
 byte-identical, arena slab reclaimed) are checked unconditionally and
 fail hard anywhere — correctness has no CPU-count excuse.
 """
@@ -105,8 +105,9 @@ def main(argv=None) -> int:
     print(f"process over thread:         {process_over_thread:.2f}x")
     print(f"arena over pickling path:    {arena_over_pickle:.2f}x")
 
-    # Pipelined dataplane check: byte/order/stamp identity against the
-    # synchronous dataplane fails hard anywhere; the packets/s ratio is
+    # Pipelined dataplane check: byte/order/stamp identity of pipeline
+    # depth 2 against depth 0 ("synchronous": each dispatch collected
+    # as it is submitted) fails hard anywhere; the packets/s ratio is
     # warn-only (and only meaningful on >= 2 CPUs, where sim-time
     # coalescing can genuinely overlap worker crypto).
     piped = measure_pipelined(args.width, args.seconds)

@@ -3,7 +3,7 @@
 Shows the `repro.crypto.fast.exec` seam end to end — seal a mixed
 seal+open CCM batch on the inline, thread and process backends, verify
 the byte-identical guarantee, then drive a small radio workload with
-`run_workload(backend=...)` plus receive-side traffic (loss and tag
+`WorkloadSpec(backend=...)` plus receive-side traffic (loss and tag
 corruption) and read the report.
 
 Run:  python examples/execution_backends.py
@@ -19,7 +19,7 @@ from repro.crypto.fast.exec import (
     ThreadPoolBackend,
 )
 from repro.mccp.channel import FlushPolicy
-from repro.radio.sdr_platform import ChannelConfig, SdrPlatform
+from repro.radio.sdr_platform import ChannelConfig, SdrPlatform, WorkloadSpec
 from repro.radio.standards import RadioStandard
 from repro.radio.traffic import TrafficPattern
 
@@ -68,7 +68,7 @@ def crypto_layer() -> None:
 
 
 def dataplane_layer() -> None:
-    """run_workload(backend=...) with receive-side traffic."""
+    """WorkloadSpec(backend=...) with receive-side traffic."""
     configs = [
         ChannelConfig(
             RadioStandard.WIFI, bytes(16), TrafficPattern.SATURATING,
@@ -81,13 +81,15 @@ def dataplane_layer() -> None:
     ]
     platform = SdrPlatform(core_count=4, seed=42)
     report = platform.run_workload(
-        configs,
-        dataplane="batched",
-        flush_policy=FlushPolicy(coalesce_limit=8, flush_deadline=4096),
-        backend="thread",
-        rx_fraction=0.5,
-        loss_rate=0.1,
-        corrupt_rate=0.2,
+        WorkloadSpec(
+            configs,
+            dataplane="batched",
+            flush_policy=FlushPolicy(coalesce_limit=8, flush_deadline=4096),
+            backend="thread",
+            rx_fraction=0.5,
+            loss_rate=0.1,
+            corrupt_rate=0.2,
+        )
     )
     print(f"  packets done      {report.packets_done}")
     print(f"  rx packets        {report.rx_packets} ({report.rx_lost} lost)")

@@ -8,7 +8,7 @@ the section VII.A trade-off by mapping CCM packets 4x1 vs 2x2.
 Run:  python examples/scheduling_policies.py
 """
 
-from repro import ChannelConfig, SdrPlatform
+from repro import ChannelConfig, SdrPlatform, WorkloadSpec
 from repro.analysis.latency import latency_stats
 from repro.analysis.tables import render_table
 from repro.radio.standards import RadioStandard
@@ -31,7 +31,7 @@ def run_policy(policy):
             for _ in range(3)
         ],
     ]
-    report = platform.run_workload(configs)
+    report = platform.run_workload(WorkloadSpec(configs))
     voice = [
         t.download_done_cycle - t.request.submit_cycle
         for t in platform.comm.completed.values()

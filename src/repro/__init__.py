@@ -37,7 +37,7 @@ from repro.core.params import Algorithm, CcmRole, Direction, TaskParams
 from repro.mccp.mccp import Mccp
 from repro.radio.comm_controller import CommController
 from repro.radio.packet import Packet, SecuredPacket
-from repro.radio.sdr_platform import ChannelConfig, SdrPlatform
+from repro.radio.sdr_platform import ChannelConfig, SdrPlatform, WorkloadSpec
 from repro.sim.kernel import Delay, Event, Simulator
 from repro.unit.timing import DEFAULT_TIMING, TimingModel
 
@@ -64,6 +64,7 @@ __all__ = [
     "SecuredPacket",
     "ChannelConfig",
     "SdrPlatform",
+    "WorkloadSpec",
     "Delay",
     "Event",
     "Simulator",

@@ -54,7 +54,7 @@ class WorkloadReport:
     dataplane: str = ""
     #: Peak number of concurrently in-flight (submitted, uncollected)
     #: dispatches across all channels — the pipelined dataplane's
-    #: overlap; 0 on the synchronous dataplanes.
+    #: overlap; 0 on "cores" and "batched" (pipeline depth 0).
     pipeline_in_flight_peak: int = 0
     #: ENCRYPT/DECRYPT requests the task scheduler ran on cores (0 when
     #: every packet flowed through the batch engine).

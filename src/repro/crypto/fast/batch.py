@@ -562,16 +562,15 @@ def _seal_open_whole(mode, key, seals, opens, tag_length):
 class SealOpenHandle:
     """One in-flight :func:`seal_open_many` dispatch (futures form).
 
-    Returned by :func:`seal_open_submit`; ``done()``/``poll()`` are
-    non-blocking, ``result()`` waits and yields the same
-    ``(sealed, opened)`` pair — byte-identical to the blocking call,
-    memoized, with the same ``isolate=True`` quarantine semantics
-    applied at collection time.  The dataplane-specific halves ride in
-    as callables: *collect* turns the backend's shard results into the
-    pair, *quarantine* (None = not isolating) rebuilds the pair from
-    the original packets when a packet-level error surfaces, and
-    *cleanup* releases dispatch-scoped resources (an arena generation)
-    exactly once, success or failure.
+    Returned by :func:`seal_open_submit`; ``done()`` is non-blocking,
+    ``result()`` waits and yields the same ``(sealed, opened)`` pair —
+    byte-identical to the blocking call, memoized, with the same
+    ``isolate=True`` quarantine semantics applied at collection time.
+    The dataplane-specific halves ride in as callables: *collect* turns
+    the backend's shard results into the pair, *quarantine* (None = not
+    isolating) rebuilds the pair from the original packets when a
+    packet-level error surfaces, and *cleanup* releases dispatch-scoped
+    resources (an arena generation) exactly once, success or failure.
     """
 
     __slots__ = ("_handle", "_collect", "_quarantine", "_cleanup", "_result")
@@ -586,10 +585,6 @@ class SealOpenHandle:
     def done(self) -> bool:
         """Non-blocking: would :meth:`result` still wait on workers?"""
         return self._handle.done()
-
-    def poll(self) -> bool:
-        """Alias of :meth:`done`."""
-        return self.done()
 
     def result(self):
         """The ``(sealed, opened)`` pair, in submission order (memoized)."""

@@ -49,7 +49,7 @@ across the crypto, MCCP and radio layers.
 Asynchronous half: :meth:`ExecutionBackend.submit` is the futures
 form of :meth:`ExecutionBackend.run` — it hands the calls to the pool
 *without waiting* and returns a :class:`BatchHandle` whose
-``poll()``/``done()`` probe completion and whose ``result()`` drains
+``done()`` probes completion and whose ``result()`` drains
 the span (applying the same recovery machinery, so
 ``backend.run(calls)`` and ``backend.submit(calls).result()`` are
 byte-identical — ``run`` is literally implemented that way).  This is
@@ -168,9 +168,9 @@ def _serial_outcomes(calls: Sequence[Tuple[Callable, tuple]]) -> List[object]:
 class BatchHandle:
     """One in-flight backend span: the futures half of the API.
 
-    Returned by :meth:`ExecutionBackend.submit`.  ``done()`` (and its
-    alias ``poll()``) report, without blocking, whether ``result()``
-    would still have to wait on remote workers; ``result()`` waits for
+    Returned by :meth:`ExecutionBackend.submit`.  ``done()`` reports,
+    without blocking, whether ``result()`` would still have to wait on
+    remote workers; ``result()`` waits for
     the span, runs the same retry/watchdog/degradation machinery the
     blocking :meth:`ExecutionBackend.run` applies, and returns the
     per-call results in submission order — byte-identical to what
@@ -222,10 +222,6 @@ class BatchHandle:
         if self._token is None:
             return True
         return self._backend._token_done(self._token)
-
-    def poll(self) -> bool:
-        """Alias of :meth:`done` (the submit()/poll() naming)."""
-        return self.done()
 
     def result(self) -> List[object]:
         """Wait for the span; results in submission order (memoized).

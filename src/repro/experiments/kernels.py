@@ -99,7 +99,7 @@ def _radio_ccm_setup(
     Shared by the bench kernels and their correctness twin so the perf
     number and the gate always measure the same pipeline
     (coalesce width *width*, 8-byte tags, 2 KB packets, dispatches on
-    *backend* when given, async submit/reap dataplane when *pipelined*).
+    *backend* when given, pipeline depth 2 when *pipelined*, else 0).
     *auto* starts the same policy in adaptive mode: the ``_auto_``
     kernels reuse one rig across bench iterations, so the controller's
     knob choices converge over the first iterations and the steady
@@ -124,7 +124,6 @@ def _radio_ccm_setup(
         sim, mccp, backend=bench_backend(backend) if backend else None
     )
     if pipelined:
-        comm.pipelined = True
         comm.pipeline_depth = 2
     packets = [
         Packet(channel.channel_id, b"", PACKET, sequence=i)
@@ -164,8 +163,8 @@ def _radio_ccm_dataplane(
     number the ``radio_ccm_2kb_batch32_per_packet`` speedup compares
     against the width-1 (sequential) path.  *backend* routes the
     dispatches through a worker pool (the ``_thread`` kernel variant);
-    *pipelined* switches the CommController to the async submit/reap
-    dataplane (the ``_pipelined_<backend>`` variants stream
+    *pipelined* lets the CommController keep two dispatches in flight
+    instead of none (the ``_pipelined_<backend>`` variants stream
     ``PIPELINE_STREAM_PACKETS`` so batches overlap).
     """
     sim, comm, channel, packets = _radio_ccm_setup(
@@ -189,13 +188,15 @@ def measure_pipelined(
 
     Both rigs stream ``PIPELINE_STREAM_PACKETS`` 2 KB CCM packets per
     op at coalesce width *width* on *backend*; the only difference is
-    ``CommController.pipelined``.  Returns packets/s ``rates``
-    ("synchronous" / "pipelined"), the byte/order/stamp equality
-    ``identical`` bool (payload, tag, per-channel fan-out order,
-    completion cycles and final sim time must all match — the async
-    dataplane's determinism contract), plus ``cpu_count``.  Shared by
-    ``benchmarks/gate_backends.py``'s warn-level pipelined check so the
-    gate measures exactly what the bench kernels measure.
+    ``CommController.pipeline_depth``: 0 ("synchronous", every dispatch
+    collected as it is submitted) against 2 ("pipelined").  Returns
+    packets/s ``rates`` ("synchronous" / "pipelined"), the
+    byte/order/stamp equality ``identical`` bool (payload, tag,
+    per-channel fan-out order, completion cycles and final sim time
+    must all match — the async dataplane's determinism contract), plus
+    ``cpu_count``.  Shared by ``benchmarks/gate_backends.py``'s
+    warn-level pipelined check so the gate measures exactly what the
+    bench kernels measure.
     """
     import os
 

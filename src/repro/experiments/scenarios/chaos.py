@@ -30,7 +30,7 @@ from repro.errors import ExperimentError
 from repro.experiments.scenario import register
 from repro.experiments.scenarios._util import deterministic_bytes
 from repro.mccp.channel import FlushPolicy
-from repro.radio.sdr_platform import ChannelConfig, SdrPlatform
+from repro.radio.sdr_platform import ChannelConfig, SdrPlatform, WorkloadSpec
 from repro.radio.standards import RadioStandard
 from repro.radio.traffic import TrafficPattern
 from repro.resilience import FaultPlan, ScriptedFault, set_fault_plan
@@ -99,10 +99,12 @@ def _run_cell(configs, seed, plan, backend, dataplane):
     try:
         platform = SdrPlatform(core_count=4, seed=seed)
         report = platform.run_workload(
-            configs,
-            dataplane=dataplane,
-            flush_policy=FlushPolicy(coalesce_limit=32, flush_deadline=8192),
-            backend=backend,
+            WorkloadSpec(
+                configs,
+                dataplane=dataplane,
+                flush_policy=FlushPolicy(coalesce_limit=32, flush_deadline=8192),
+                backend=backend,
+            )
         )
         transfers: Dict[Tuple[int, int], Tuple[bytes, Optional[bytes], bool]] = {}
         order: Dict[int, List[int]] = {}

@@ -1,17 +1,19 @@
 """The pipelined (async submit/reap) dataplane as a sweepable scenario.
 
-Runs the same multi-channel radio workload twice — once on the
-synchronous batched dataplane, once pipelined
-(``WorkloadSpec(dataplane="pipelined")`` → ``Mccp.dispatch_jobs_async``
-→ per-channel in-flight queues) — and pins the async path's determinism
-contract: payloads, tags, per-channel fan-out order, completion-cycle
-stamps and the final simulated time must be byte-identical to the
-synchronous run.  The digest equality is deterministic (a baseline
-comparison fails hard on it); the wall-clock seconds and the derived
-overlap speedup are timing metrics, so drift warns.  CI's dedicated
-warn-level pipelined check lives in ``benchmarks/gate_backends.py``;
-this scenario records the same invariant across a backend x depth x
-channel-count grid inside every sweep artifact.
+Runs the same multi-channel radio workload twice through the one
+submit/reap drain (``Mccp.dispatch_jobs_async`` → per-channel
+in-flight queues) — once batched (pipeline depth 0: every dispatch
+collected as it is submitted), once pipelined
+(``WorkloadSpec(dataplane="pipelined")``, depth >= 1) — and pins the
+overlap's determinism contract: payloads, tags, per-channel fan-out
+order, completion-cycle stamps and the final simulated time must be
+byte-identical to the depth-0 run.  The digest equality is
+deterministic (a baseline comparison fails hard on it); the wall-clock
+seconds and the derived overlap speedup are timing metrics, so drift
+warns.  CI's dedicated warn-level pipelined check lives in
+``benchmarks/gate_backends.py``; this scenario records the same
+invariant across a backend x depth x channel-count grid inside every
+sweep artifact.
 """
 
 from __future__ import annotations
@@ -81,12 +83,12 @@ def _run(spec_kwargs: dict, seed: int):
 
 @register(
     name="pipelined_dataplane",
-    title="Pipelined dataplane: async submit/reap vs synchronous batched",
+    title="Pipelined dataplane: async submit/reap vs batched (depth 0)",
     description="Multi-channel CCM/GCM radio traffic through the async "
-    "submit()/poll() dataplane, swept over backend, pipeline depth and "
+    "submit()/result() dataplane, swept over backend, pipeline depth and "
     "channel count; the transcript digest (bytes, per-channel order, "
-    "cycle stamps, total cycles) must equal the synchronous batched "
-    "run's, while wall-clock overlap is a timing metric.",
+    "cycle stamps, total cycles) must equal the batched (pipeline "
+    "depth 0) run's, while wall-clock overlap is a timing metric.",
     grid={
         "backend": ["inline", "thread"],
         "depth": [1, 2, 4],

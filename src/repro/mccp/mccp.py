@@ -23,7 +23,7 @@ cycle model: it produces the same bytes the simulated cores would
 for batched dispatches is charged by the communication controller's
 dataplane (:mod:`repro.radio.comm_controller`), which pops batches
 under the channel's :class:`repro.mccp.channel.FlushPolicy` and calls
-:meth:`dispatch_jobs` per dispatch; the synchronous
+:meth:`dispatch_jobs_async` per dispatch; the synchronous
 :meth:`flush_channel` / :meth:`flush_batches` remain the zero-sim-time
 entry points.
 """
@@ -103,8 +103,8 @@ KEY_FETCH_ATTEMPTS = 3
 class DispatchHandle:
     """One in-flight :meth:`Mccp.dispatch_jobs` batch (futures form).
 
-    Returned by :meth:`Mccp.dispatch_jobs_async`.  ``done()``/``poll()``
-    probe the underlying backend span without blocking; ``result()``
+    Returned by :meth:`Mccp.dispatch_jobs_async`.  ``done()`` probes
+    the underlying backend span without blocking; ``result()``
     waits, stamps every job's :attr:`PacketJob.result`, updates the
     channel counters, and returns the :class:`BatchResult` list —
     byte-identical to what the blocking :meth:`Mccp.dispatch_jobs`
@@ -140,10 +140,6 @@ class DispatchHandle:
         if self._results is not None:
             return True
         return self._handle.done()
-
-    def poll(self) -> bool:
-        """Alias of :meth:`done`."""
-        return self.done()
 
     def result(self) -> List[BatchResult]:
         """Collect the batch: stamp jobs, update stats (memoized)."""
@@ -392,8 +388,8 @@ class Mccp:
         identically ordered whichever backend runs them.
 
         Implemented as submit-then-drain over
-        :meth:`dispatch_jobs_async`, so the blocking and pipelined
-        dataplanes can never diverge.
+        :meth:`dispatch_jobs_async`, so blocking callers and the
+        communication controller's drain can never diverge.
         """
         return self.dispatch_jobs_async(channel_id, jobs, backend).result()
 

@@ -15,16 +15,18 @@ pipeline built around :class:`repro.mccp.channel.PacketJob`:
   sim-time idle deadline (``flush_deadline``) so low-traffic channels
   never stall a packet waiting for batch-mates;
 - each dispatch pops one batch, charges the modelled control +
-  crossbar transfer time, runs the batch engine
-  (:meth:`repro.mccp.mccp.Mccp.dispatch_jobs`), and fans completions
-  back out to per-packet :class:`CompletedTransfer` records with
-  correct per-packet latency accounting;
-- with :attr:`CommController.pipelined` set, each dispatch is instead
-  *submitted* (:meth:`repro.mccp.mccp.Mccp.dispatch_jobs_async`) and
-  the drain keeps coalescing the next batch while thread/process
-  workers run the current one — out-of-order wall-clock completion,
-  strictly in-order per-channel fan-out, identical bytes and cycle
-  stamps (the paper's pipelining lifted to the system level);
+  crossbar transfer time, *submits* it to the batch engine
+  (:meth:`repro.mccp.mccp.Mccp.dispatch_jobs_async`), and fans
+  completions back out to per-packet :class:`CompletedTransfer`
+  records with correct per-packet latency accounting;
+- :attr:`CommController.pipeline_depth` is how many submitted
+  dispatches a channel may leave in flight while the drain keeps
+  coalescing the next batch.  Depth 0 (the ``"batched"`` dataplane)
+  collects every dispatch in the step that submitted it; a positive
+  depth (``"pipelined"``) lets thread/process workers run while the
+  simulator moves on — out-of-order wall-clock completion, strictly
+  in-order per-channel fan-out, identical bytes and cycle stamps (the
+  paper's pipelining lifted to the system level);
 - :meth:`process_packet` / :meth:`secure_packet_sync` are thin
   wrappers over the same job abstraction at batch width 1, running on
   the cycle-accurate simulated cores (``via_cores``) — the engine the
@@ -38,7 +40,8 @@ numbers depend on.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Set
+from contextlib import contextmanager
+from typing import Deque, Dict, Iterator, List, Optional, Set
 
 from dataclasses import dataclass, field
 
@@ -84,14 +87,12 @@ class CompletedTransfer:
 
 
 class _InflightDispatch:
-    """One submitted-but-uncollected batch of the pipelined dataplane.
+    """One submitted-but-uncollected batch dispatch.
 
-    ``dispatched_cycle`` is the sim cycle the dispatch *would have
-    completed at* on the synchronous dataplane (the cycle after its
-    control + crossbar delays, when ``dispatch_jobs`` would have
-    returned): completions are stamped with it at reap time, so the
-    pipelined dataplane's latency accounting is identical to the
-    synchronous one — only wall-clock execution overlaps.
+    ``dispatched_cycle`` is the sim cycle the dispatch was submitted at
+    (the cycle after its control + crossbar delays): completions are
+    stamped with it at reap time, so latency accounting is the same at
+    every pipeline depth — only wall-clock execution overlaps.
     """
 
     __slots__ = ("handle", "batch", "dispatched_cycle")
@@ -141,23 +142,20 @@ class CommController:
         self._draining: Set[int] = set()
         self._drain_done: Dict[int, Event] = {}
         self._deadlines: Dict[int, object] = {}
-        # -- pipelined dataplane ---------------------------------------
-        #: When True, drains *submit* each dispatch through
-        #: :meth:`Mccp.dispatch_jobs_async` and keep going — the
-        #: simulator coalesces and flushes the next batch while
-        #: thread/process workers run the current one.  Completions fan
-        #: out strictly in per-channel submission order whatever
-        #: wall-clock order batches finish in, stamped with the cycles
-        #: the synchronous dataplane would have stamped.
-        self.pipelined = False
+        # -- dispatch pipeline -----------------------------------------
         #: Dispatches one channel may keep in flight before its drain
-        #: blocks to reap the oldest (bounds handle memory and keeps
-        #: backpressure honest).  Under the arena dataplane each
-        #: in-flight dispatch also pins one arena generation (its slab
-        #: region stays reserved until the handle is reaped), so this
-        #: bound doubles as the arena's high-water mark: slab footprint
-        #: is at most ``pipeline_depth`` generations per channel.
-        self.pipeline_depth = 2
+        #: blocks to reap the oldest.  0 (the ``"batched"`` dataplane)
+        #: reaps each dispatch in the step that submitted it; a positive
+        #: depth (``"pipelined"``) keeps coalescing the next batch while
+        #: thread/process workers run the current ones.  Completions fan
+        #: out strictly in per-channel submission order whatever
+        #: wall-clock order batches finish in.  Under the arena
+        #: dataplane each in-flight dispatch also pins one arena
+        #: generation (its slab region stays reserved until the handle
+        #: is reaped), so this bound doubles as the arena's high-water
+        #: mark: slab footprint is at most ``pipeline_depth``
+        #: generations per channel.  Set per run by :meth:`use_dataplane`.
+        self.pipeline_depth = 0
         #: Per-channel FIFO of submitted-but-uncollected dispatches;
         #: the FIFO *is* the in-order fan-out guarantee.
         self._inflight: Dict[int, Deque[_InflightDispatch]] = {}
@@ -170,6 +168,27 @@ class CommController:
         #: policy is ``mode="auto"``).  Replace before traffic flows to
         #: retune windows/bounds for a run.
         self.autotune_config = AutotuneConfig()
+
+    @contextmanager
+    def use_dataplane(
+        self, backend, dataplane: str, pipeline_depth: int
+    ) -> Iterator[None]:
+        """Install one run's backend and drain depth; restore on exit.
+
+        The single place a dataplane name becomes a drain depth:
+        ``"pipelined"`` runs at *pipeline_depth*, every other dataplane
+        at 0.  A None *backend* keeps the controller's own.  The
+        in-flight peak restarts at zero so it reports this run alone.
+        """
+        previous = (self.backend, self.pipeline_depth)
+        if backend is not None:
+            self.backend = backend
+        self.pipeline_depth = pipeline_depth if dataplane == "pipelined" else 0
+        self.pipeline_in_flight_peak = 0
+        try:
+            yield
+        finally:
+            self.backend, self.pipeline_depth = previous
 
     # -- adaptive flush controller -------------------------------------------------
 
@@ -335,20 +354,19 @@ class CommController:
         charges one scheduler control overhead (the coalesced
         ENCRYPT/DECRYPT instruction — amortised across the batch, which
         is the point of coalescing) plus the crossbar word time of
-        everything the batch moves, then runs the batch engine and
-        stamps per-packet completions.  ``force`` drains under-filled
-        batches (deadline/end-of-stream); otherwise only full batches
-        leave.
+        everything the batch moves, then submits the batch engine's
+        work.  ``force`` drains under-filled batches
+        (deadline/end-of-stream); otherwise only full batches leave.
 
-        With :attr:`pipelined` set, dispatches are *submitted* instead
-        of computed in place: the drain keeps popping and submitting
-        while workers chew, reaping the oldest handle whenever a
-        channel exceeds :attr:`pipeline_depth` — and reaping every
-        outstanding handle before a forced drain returns, so
-        end-of-stream semantics (and ``close_channel``'s in-flight
-        guard) are unchanged.  Reaping is strictly FIFO per channel,
-        which is what turns out-of-order wall-clock completion into
-        in-order per-channel fan-out.
+        Submitted dispatches join the channel's in-flight FIFO; the
+        drain reaps the oldest whenever the channel holds more than
+        :attr:`pipeline_depth` of them (at depth 0, every dispatch is
+        reaped in the step and at the sim cycle that submitted it).  A
+        forced drain reaps every outstanding handle before it returns,
+        so end-of-stream semantics (and ``close_channel``'s in-flight
+        guard) hold at any depth.  Reaping is strictly FIFO per
+        channel, which is what turns out-of-order wall-clock completion
+        into in-order per-channel fan-out.
         """
         cid = channel.channel_id
         while cid in self._draining:
@@ -375,39 +393,20 @@ class CommController:
                     yield self.mccp.scheduler.overhead_delay()
                     words = sum(job_transfer_words(job) for job in batch)
                     yield Delay(words * self.mccp.timing.crossbar_word_cycles)
+                    handle = self.mccp.dispatch_jobs_async(
+                        cid, batch, backend=self.backend
+                    )
+                    queue = self._inflight.setdefault(cid, deque())
+                    queue.append(_InflightDispatch(handle, batch, self.sim.now))
+                    handed_off = True
                     stats = channel.stats
-                    if self.pipelined:
-                        handle = self.mccp.dispatch_jobs_async(
-                            cid, batch, backend=self.backend
-                        )
-                        queue = self._inflight.setdefault(cid, deque())
-                        queue.append(
-                            _InflightDispatch(handle, batch, self.sim.now)
-                        )
-                        handed_off = True
-                        stats[f"flush_{cause}"] = (
-                            stats.get(f"flush_{cause}", 0) + 1
-                        )
-                        self._observe_flush(channel, cause, len(batch))
-                        depth = sum(
-                            len(q) for q in self._inflight.values()
-                        )
-                        if depth > self.pipeline_in_flight_peak:
-                            self.pipeline_in_flight_peak = depth
-                        while len(queue) > self.pipeline_depth:
-                            transfers.extend(self._reap_oldest(channel))
-                    else:
-                        results = self.mccp.dispatch_jobs(
-                            cid, batch, backend=self.backend
-                        )
-                        stats[f"flush_{cause}"] = (
-                            stats.get(f"flush_{cause}", 0) + 1
-                        )
-                        self._observe_flush(channel, cause, len(batch))
-                        for job, result in zip(batch, results):
-                            transfers.append(
-                                self._complete_batch_job(job, result)
-                            )
+                    stats[f"flush_{cause}"] = stats.get(f"flush_{cause}", 0) + 1
+                    self._observe_flush(channel, cause, len(batch))
+                    while len(queue) > self.pipeline_depth:
+                        transfers.extend(self._reap_oldest(channel))
+                    depth = sum(len(q) for q in self._inflight.values())
+                    if depth > self.pipeline_in_flight_peak:
+                        self.pipeline_in_flight_peak = depth
                 finally:
                     if not handed_off:
                         channel.in_flight -= len(batch)
@@ -416,7 +415,7 @@ class CommController:
                 # channel still has in flight (including batches earlier
                 # size-triggered drains left cooking) fans out before we
                 # return, so flush_now callers see a fully quiesced
-                # channel exactly as they do synchronously.
+                # channel at any pipeline depth.
                 while self._inflight.get(cid):
                     transfers.extend(self._reap_oldest(channel))
         finally:
@@ -430,10 +429,10 @@ class CommController:
         """Collect the channel's oldest in-flight dispatch; fan out.
 
         Blocks (wall-clock, zero sim time) until the handle resolves —
-        the same retries/degradation/quarantine machinery the blocking
-        dispatch applies runs here.  Completion records are stamped
-        with the dispatch's recorded cycle, not the reap cycle, keeping
-        latency accounting byte-identical to the synchronous dataplane.
+        the retries/degradation/quarantine machinery runs here.
+        Completion records are stamped with the dispatch's recorded
+        cycle, not the reap cycle, keeping latency accounting identical
+        at every pipeline depth.
         """
         queue = self._inflight.get(channel.channel_id)
         if not queue:
@@ -444,9 +443,7 @@ class CommController:
         finally:
             channel.in_flight -= len(entry.batch)
         return [
-            self._complete_batch_job(
-                job, result, at_cycle=entry.dispatched_cycle
-            )
+            self._complete_batch_job(job, result, entry.dispatched_cycle)
             for job, result in zip(entry.batch, results)
         ]
 
@@ -457,10 +454,10 @@ class CommController:
         documented on :class:`repro.mccp.channel.FlushPolicy` — the
         end-of-stream hook for size-only policies and workload tails,
         where waiting out an idle deadline after the last packet would
-        charge phantom latency.  Under the pipelined dataplane this is
-        also the pipeline barrier: the returned transfers include any
-        still-in-flight batches from earlier drains, reaped in
-        submission order, so the channel is fully quiesced on return.
+        charge phantom latency.  It is also the pipeline barrier: the
+        returned transfers include any still-in-flight batches from
+        earlier drains, reaped in submission order, so the channel is
+        fully quiesced on return.
         """
         transfers = yield from self._drain_channel(
             channel, force=True, cause="forced"
@@ -468,15 +465,13 @@ class CommController:
         return transfers
 
     def _complete_batch_job(
-        self, job: PacketJob, result, at_cycle: Optional[int] = None
+        self, job: PacketJob, result, stamp: int
     ) -> CompletedTransfer:
         """Fan one batch-engine outcome back out to a per-packet record.
 
-        *at_cycle* backdates the completion stamps to the cycle the
-        synchronous dataplane would have completed the job at (the
-        pipelined reap path); None stamps the current cycle.
+        *stamp* is the cycle the job's dispatch was submitted at, not
+        the (possibly later) cycle its handle was reaped at.
         """
-        stamp = self.sim.now if at_cycle is None else at_cycle
         transfer = CompletedTransfer(
             request=None,
             job=job,

@@ -18,17 +18,16 @@ on the same :class:`repro.mccp.channel.PacketJob` pipeline:
   back out for latency accounting.  Channels the batch engine cannot
   serve (CTR streams, two-core CCM) transparently fall back to the
   cores path;
-- ``dataplane="pipelined"`` — the batched pipeline with asynchronous
-  dispatch: each batch is *submitted* to the execution backend and
-  the simulator keeps coalescing the next one while thread/process
-  workers run the current one (``WorkloadSpec.pipeline_depth`` bounds
-  the overlap).  Same bytes, same per-channel completion order, same
-  cycle stamps as ``"batched"`` — only wall-clock overlaps.
+- ``dataplane="pipelined"`` — the same drain, but each submitted
+  batch may stay in flight (up to ``WorkloadSpec.pipeline_depth`` per
+  channel) while the simulator keeps coalescing the next one and
+  thread/process workers run the current one.  ``"batched"`` is this
+  drain at pipeline depth 0: every dispatch is collected in the step
+  that submitted it.  Same bytes, same per-channel completion order,
+  same cycle stamps at any depth — only wall-clock overlaps.
 
-The preferred calling convention is a :class:`WorkloadSpec` —
-``platform.run_workload(WorkloadSpec(configs, dataplane="pipelined"))``
-— which consolidates what used to be a sprawl of keyword arguments;
-the old kwargs still work as a thin deprecated shim.
+Every run is described by one :class:`WorkloadSpec` —
+``platform.run_workload(WorkloadSpec(configs, dataplane="pipelined"))``.
 
 Both dataplanes secure every packet under the same deterministic
 per-(channel, sequence) nonce, so they produce byte-identical secured
@@ -48,7 +47,7 @@ authentications are per-packet isolated and tallied in
 from ``(seed, channel, sequence)``, so both dataplanes and every
 execution backend replay the identical mixed workload.
 
-``run_workload(backend=...)`` selects where the batched dispatches'
+``WorkloadSpec.backend`` selects where the batched dispatches'
 seal/open sweeps execute (:mod:`repro.crypto.fast.exec`): inline,
 a thread pool, or a process pool — outputs and completion order are
 identical across all three.
@@ -57,7 +56,6 @@ identical across all three.
 from __future__ import annotations
 
 import random
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Union
 
@@ -119,10 +117,9 @@ class ChannelConfig:
 class WorkloadSpec:
     """Everything one :meth:`SdrPlatform.run_workload` replay needs.
 
-    Consolidates the run-level knobs that used to travel as separate
-    keyword arguments; a spec is a value object, so the same workload
-    can be replayed across dataplanes/backends with
-    ``dataclasses.replace(spec, dataplane=...)``.
+    The channels plus every run-level knob.  A spec is a value object,
+    so the same workload can be replayed across dataplanes/backends
+    with ``dataclasses.replace(spec, dataplane=...)``.
     """
 
     #: The channels to provision and their traffic.
@@ -183,10 +180,6 @@ class WorkloadSpec:
                 f"queue_capacity must be >= 1 or None, got "
                 f"{self.queue_capacity}"
             )
-
-
-#: Marks a legacy run_workload kwarg the caller did not pass.
-_UNSET = object()
 
 
 @dataclass(frozen=True)
@@ -267,7 +260,7 @@ class _RunAccounting:
     The scheduler/comm/resilience counters accumulate across runs on a
     reused platform; constructing one of these before the run and
     calling :meth:`fill` after yields a report scoped to just that
-    run's activity.  Shared by :meth:`SdrPlatform._run_spec` and the
+    run's activity.  Shared by :meth:`SdrPlatform.run_workload` and the
     session layer (:mod:`repro.radio.sessions`), so workload replays
     and session storms account identically.
     """
@@ -400,87 +393,28 @@ class SdrPlatform:
 
     # -- workload execution ---------------------------------------------------------
 
-    def run_workload(
-        self,
-        configs=None,
-        limit=_UNSET,
-        dataplane=_UNSET,
-        flush_policy=_UNSET,
-        backend=_UNSET,
-        rx_fraction=_UNSET,
-        loss_rate=_UNSET,
-        corrupt_rate=_UNSET,
-        *,
-        spec: Optional[WorkloadSpec] = None,
-    ) -> WorkloadReport:
+    def run_workload(self, spec: WorkloadSpec) -> WorkloadReport:
         """Replay every channel's traffic to completion; returns the report.
 
-        Preferred form: one :class:`WorkloadSpec`, passed positionally
-        or as ``spec=`` — it carries the dataplane, flush policy,
-        backend, rx mix and pipeline depth.  The legacy keyword
-        arguments (``dataplane=``, ``backend=``, ...) still work as a
-        thin deprecated shim that builds the spec for you and emits a
-        :class:`DeprecationWarning`; they cannot be combined with an
-        explicit spec.  Every engine reports into the same
+        *spec* carries the channels and every run parameter: dataplane,
+        flush policy, backend, rx mix, pipeline depth, queue bounds,
+        admission and autotune.  Every engine reports into the same
         :class:`WorkloadReport`, which additionally carries the queue
         depth / backpressure statistics of the batched pipeline, the
         rx loss/auth-failure tallies, and the pipelined dataplane's
         in-flight overlap peak.
         """
-        legacy = {
-            name: value
-            for name, value in (
-                ("limit", limit),
-                ("dataplane", dataplane),
-                ("flush_policy", flush_policy),
-                ("backend", backend),
-                ("rx_fraction", rx_fraction),
-                ("loss_rate", loss_rate),
-                ("corrupt_rate", corrupt_rate),
+        if not isinstance(spec, WorkloadSpec):
+            raise TypeError(
+                "run_workload takes a WorkloadSpec, e.g. "
+                f"run_workload(WorkloadSpec(configs)); got {type(spec).__name__}"
             )
-            if value is not _UNSET
-        }
-        if isinstance(configs, WorkloadSpec):
-            if spec is not None:
-                raise TypeError(
-                    "pass the WorkloadSpec positionally or as spec=, not both"
-                )
-            spec, configs = configs, None
-        if spec is not None:
-            if configs is not None or legacy:
-                raise TypeError(
-                    "combine every run parameter into the WorkloadSpec; "
-                    "mixing spec= with legacy arguments is not supported"
-                )
-        else:
-            if configs is None:
-                raise TypeError(
-                    "run_workload needs a WorkloadSpec or a ChannelConfig "
-                    "sequence"
-                )
-            if legacy:
-                warnings.warn(
-                    "run_workload's per-knob keyword arguments are "
-                    "deprecated; pass a WorkloadSpec instead, e.g. "
-                    "run_workload(WorkloadSpec(configs, dataplane=...))",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-            spec = WorkloadSpec(configs=configs, **legacy)
-        return self._run_spec(spec)
-
-    def _run_spec(self, spec: WorkloadSpec) -> WorkloadReport:
-        """Execute one validated :class:`WorkloadSpec`."""
         configs = spec.configs
-        dataplane = spec.dataplane
         flush_policy = spec.flush_policy
         backend = spec.backend
-        rx_fraction = spec.rx_fraction
-        loss_rate = spec.loss_rate
-        corrupt_rate = spec.corrupt_rate
-        limit = spec.limit
+        pipeline_depth = spec.pipeline_depth
         report = WorkloadReport(total_cycles=0, packets_done=0, payload_bytes=0)
-        report.dataplane = dataplane
+        report.dataplane = spec.dataplane
         done_events = []
         channels: List[Channel] = []
         controller = (
@@ -489,9 +423,6 @@ class SdrPlatform:
             else None
         )
         autotune = spec.autotune  # AutotuneConfig or None (normalized)
-        pipeline_depth = spec.pipeline_depth
-        previous_backend = self.comm.backend
-        previous_pipeline = (self.comm.pipelined, self.comm.pipeline_depth)
         previous_autotune = self.comm.autotune_config
         if autotune is not None:
             self.comm.autotune_config = autotune
@@ -508,27 +439,23 @@ class SdrPlatform:
                 report.autotune_backend = advice.backend
                 report.autotune_policy = advice.policy
                 report.autotune_pipeline_depth = advice.pipeline_depth
-        if backend is not None:
-            self.comm.backend = backend
-        self.comm.pipelined = dataplane == "pipelined"
-        self.comm.pipeline_depth = pipeline_depth
-        self.comm.pipeline_in_flight_peak = 0
-        # Snapshot *after* the spec's backend override is installed and
-        # fill *before* the finally restores it: the worker-expansion
-        # counter lives on the backend the run actually dispatched to.
-        accounting = _RunAccounting(self)
         try:
-            self._launch_channels(
-                configs, dataplane, flush_policy, report, done_events,
-                channels, rx_fraction, loss_rate, corrupt_rate,
-                spec.queue_capacity, controller,
-            )
-            for event in done_events:
-                self.sim.run_until_event(event, limit=limit)
-            return accounting.fill(report, channels, controller)
+            with self.comm.use_dataplane(
+                backend, spec.dataplane, pipeline_depth
+            ):
+                # Snapshot *after* the spec's backend is installed and
+                # fill *before* it is restored: the worker-expansion
+                # counter lives on the backend the run dispatched to.
+                accounting = _RunAccounting(self)
+                self._launch_channels(
+                    configs, spec.dataplane, flush_policy, report,
+                    done_events, channels, spec.rx_fraction, spec.loss_rate,
+                    spec.corrupt_rate, spec.queue_capacity, controller,
+                )
+                for event in done_events:
+                    self.sim.run_until_event(event, limit=spec.limit)
+                return accounting.fill(report, channels, controller)
         finally:
-            self.comm.backend = previous_backend
-            self.comm.pipelined, self.comm.pipeline_depth = previous_pipeline
             self.comm.autotune_config = previous_autotune
 
     def _launch_channels(

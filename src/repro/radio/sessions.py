@@ -432,16 +432,11 @@ class SessionManager:
         report = WorkloadReport(total_cycles=0, packets_done=0, payload_bytes=0)
         report.dataplane = workload.dataplane
         accounting = _RunAccounting(platform)
-        previous_backend = comm.backend
-        previous_pipeline = (comm.pipelined, comm.pipeline_depth)
-        if workload.backend is not None:
-            comm.backend = workload.backend
-        comm.pipelined = workload.dataplane == "pipelined"
-        comm.pipeline_depth = workload.pipeline_depth
-        comm.pipeline_in_flight_peak = 0
         done_events = []
         channels = list(self.channels.values())
-        try:
+        with comm.use_dataplane(
+            workload.backend, workload.dataplane, workload.pipeline_depth
+        ):
             for plan in self.plans:
                 finished = platform.sim.event(f"session{plan.sid}.done")
                 done_events.append(finished)
@@ -451,9 +446,6 @@ class SessionManager:
                 )
             for event in done_events:
                 platform.sim.run_until_event(event, limit=workload.limit)
-        finally:
-            comm.backend = previous_backend
-            comm.pipelined, comm.pipeline_depth = previous_pipeline
         accounting.fill(report, channels, self.controller)
         report.sessions_started = self.sessions_started
         report.sessions_completed = self.sessions_completed

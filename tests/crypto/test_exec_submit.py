@@ -1,11 +1,11 @@
-"""The asynchronous backend half: submit()/poll()/done()/result().
+"""The asynchronous backend half: submit()/done()/result().
 
 The contract under test is :class:`repro.crypto.fast.exec.BatchHandle`:
 ``submit()`` returns immediately, ``result()`` blocks and returns
 exactly what ``run()`` would have (same results in submission order,
-same exceptions, same recovery behaviour), ``done()``/``poll()`` never
-block, and both results and errors are memoized — one execution no
-matter how often the handle is drained.  ``seal_open_submit`` rides the
+same exceptions, same recovery behaviour), ``done()`` never blocks,
+and both results and errors are memoized — one execution no matter
+how often the handle is drained.  ``seal_open_submit`` rides the
 same contract at the batch-AEAD layer.
 """
 
@@ -75,7 +75,7 @@ def test_submit_matches_run_in_submission_order(any_backend):
 
 def test_empty_submit_is_immediately_done(any_backend):
     handle = any_backend.submit([])
-    assert handle.done() and handle.poll()
+    assert handle.done()
     assert handle.result() == []
 
 
@@ -118,7 +118,6 @@ def test_done_transitions_without_blocking(thread_backend):
 
     handle = thread_backend.submit([(gated, (1,)), (gated, (2,))])
     assert not handle.done()
-    assert not handle.poll()
     release.set()
     assert handle.result() == [1, 2]
     assert handle.done()

@@ -99,6 +99,24 @@ class TestBoundedQueues:
         _, report = _run(spec)
         assert 0 < report.queue_peak() <= CAPACITY
 
+    def test_per_config_capacity_bounds_a_pipelined_run(self):
+        configs = [
+            replace(config, queue_capacity=CAPACITY)
+            for config in _configs("saturating", PACKETS)
+        ]
+        _, report = _run(
+            WorkloadSpec(
+                configs,
+                dataplane="pipelined",
+                flush_policy=FlushPolicy(coalesce_limit=4,
+                                         flush_deadline=4096),
+            )
+        )
+        assert report.backpressure_signals > 0
+        assert report.backpressure_retries > 0
+        assert report.queue_peak() <= CAPACITY
+        assert report.packets_done == 3 * PACKETS
+
 
 class TestSustainedOverload:
     def test_offered_load_is_at_least_4x_the_watermark(self):
@@ -211,46 +229,19 @@ class TestFlushPolicyValidation:
         assert FlushPolicy(flush_deadline=None).flush_deadline is None
 
 
-class TestSpecValidation:
-    def test_queue_capacity_must_be_positive(self):
-        with pytest.raises(ValueError, match="queue_capacity"):
-            WorkloadSpec(configs=(), queue_capacity=0)
-
-
 class TestDeprecatedKwargsShim:
-    """Satellite: the legacy kwargs shim composed with the pipelined
-    dataplane on bounded (per-config capacity) channels."""
-
-    def test_shim_warns_and_matches_the_spec_form_under_backpressure(self):
-        configs = [
-            replace(config, queue_capacity=CAPACITY)
-            for config in _configs("saturating", PACKETS)
-        ]
-        platform = SdrPlatform(core_count=4, seed=SEED)
-        with pytest.warns(DeprecationWarning, match="WorkloadSpec"):
-            legacy = platform.run_workload(
-                configs,
-                dataplane="pipelined",
-                flush_policy=FlushPolicy(coalesce_limit=4,
-                                         flush_deadline=4096),
-            )
-        spec = WorkloadSpec(
-            configs,
-            dataplane="pipelined",
-            flush_policy=FlushPolicy(coalesce_limit=4, flush_deadline=4096),
-        )
-        _, modern = _run(spec)
-        # The shim run really was under backpressure, and the two forms
-        # are the same workload.
-        assert legacy.backpressure_signals > 0
-        assert legacy.backpressure_retries > 0
-        assert legacy.queue_peak() <= CAPACITY
-        assert legacy.packets_done == modern.packets_done == 3 * PACKETS
-        assert legacy.total_cycles == modern.total_cycles
-        assert legacy.latencies == modern.latencies
+    """The legacy keyword form of ``run_workload`` is gone: run
+    parameters travel only inside a :class:`WorkloadSpec`, so passing
+    one next to a spec is rejected rather than silently merged."""
 
     def test_spec_cannot_be_mixed_with_legacy_kwargs(self):
         platform = SdrPlatform(core_count=2, seed=SEED)
         spec = WorkloadSpec(configs=_configs("saturating", 4))
-        with pytest.raises(TypeError, match="mixing spec="):
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
             platform.run_workload(spec, dataplane="batched")
+
+
+class TestSpecValidation:
+    def test_queue_capacity_must_be_positive(self):
+        with pytest.raises(ValueError, match="queue_capacity"):
+            WorkloadSpec(configs=(), queue_capacity=0)

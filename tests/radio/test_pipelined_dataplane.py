@@ -4,18 +4,18 @@ The determinism contract under test: ``dataplane="pipelined"`` may
 complete batches out of order in wall-clock, but every observable —
 payload bytes, tags, ok flags, per-channel fan-out order, completion
 cycle stamps, latency accounting, total simulated time — is
-byte-identical to the synchronous batched dataplane, across backends,
-adversarial completion orders (a scripted-latency backend that finishes
-later batches first) and injected faults (retries, degradation,
-quarantine, dead letters all happen at reap time).  The
-:class:`WorkloadSpec` consolidation and the legacy-kwarg shim ride
-along.
+byte-identical to the batched dataplane (the same drain at pipeline
+depth 0), across backends, adversarial completion orders (a
+scripted-latency backend that finishes later batches first) and
+injected faults (retries, degradation, quarantine, dead letters all
+happen at reap time).  :class:`WorkloadSpec` validation rides along.
 """
 
 from __future__ import annotations
 
+import copy
+import hashlib
 import time
-import warnings
 from dataclasses import replace
 
 import pytest
@@ -34,7 +34,7 @@ from repro.radio.sdr_platform import ChannelConfig, SdrPlatform, WorkloadSpec
 from repro.radio.standards import RadioStandard
 from repro.radio.traffic import TrafficPattern
 from repro.resilience import FaultPlan, ScriptedFault, set_fault_plan
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import Delay, Simulator
 
 FLUSH = FlushPolicy(coalesce_limit=8, flush_deadline=8192)
 FAST = ResiliencePolicy(max_retries=2, backoff_base=0.0, backoff_cap=0.0)
@@ -96,7 +96,7 @@ def _stamps(platform):
     }
 
 
-# -- byte identity vs the synchronous dataplane -------------------------------
+# -- byte identity vs the batched dataplane (pipeline depth 0) ----------------
 
 
 @pytest.mark.parametrize("backend", [None, "thread"])
@@ -251,19 +251,26 @@ class TestPipelinedResilience:
 # -- flush_now as a pipeline barrier ------------------------------------------
 
 
-def test_flush_now_reaps_all_in_flight():
+TOTAL = 32
+
+
+def _barrier_run(depth):
+    """Enqueue TOTAL packets at coalesce width 8, let every size-
+    triggered drain dispatch, then flush_now.
+
+    Checks the channel is fully quiesced afterwards and returns
+    (completions seen before the barrier, transfers it returned).
+    """
     sim = Simulator()
     mccp = Mccp(sim)
     mccp.load_session_key(0, KEY)
     channel = mccp.open_channel(Algorithm.CCM, 0, tag_length=8)
     channel.flush_policy = FlushPolicy(coalesce_limit=8, flush_deadline=None)
     comm = CommController(sim, mccp)
-    comm.pipelined = True
-    comm.pipeline_depth = 2
-    total = 32
+    comm.pipeline_depth = depth
     packets = [
         Packet(channel.channel_id, b"", bytes([i]) * 128, sequence=i)
-        for i in range(total)
+        for i in range(TOTAL)
     ]
     observed = {}
     done = sim.event("barrier")
@@ -271,57 +278,78 @@ def test_flush_now_reaps_all_in_flight():
     def proc():
         for packet in packets:
             comm.submit_job(channel, packet)
+        # Long enough for every size-triggered drain to dispatch.
+        yield Delay(100_000)
         observed["before"] = len(comm.completed)
         observed["returned"] = yield from comm.flush_now(channel)
         done.trigger()
 
     sim.add_process(proc())
     sim.run_until_event(done)
-    # Size drains left up to pipeline_depth batches in flight; the
-    # barrier returned exactly those, and afterwards nothing dangles.
-    assert observed["before"] < total
-    returned_sequences = [t.sequence for t in observed["returned"]]
-    assert returned_sequences == list(range(observed["before"], total))
-    assert len(comm.completed) == total
-    assert [t.sequence for t in comm.completed.values()] == list(range(total))
+    assert len(comm.completed) == TOTAL
+    assert [t.sequence for t in comm.completed.values()] == list(range(TOTAL))
     assert channel.in_flight == 0
     assert not comm._inflight.get(channel.channel_id)
+    return observed["before"], observed["returned"]
 
 
-# -- WorkloadSpec and the legacy shim -----------------------------------------
+def test_flush_now_reaps_all_in_flight():
+    # Size drains left up to pipeline_depth batches in flight; the
+    # barrier returned exactly those, and afterwards nothing dangles.
+    before, returned = _barrier_run(depth=2)
+    assert before < TOTAL
+    assert [t.sequence for t in returned] == list(range(before, TOTAL))
+
+
+def test_flush_now_at_depth_zero_has_nothing_left_to_reap():
+    # Depth 0 (the batched dataplane): every size-triggered batch fanned
+    # out as it was dispatched, so the barrier finds nothing in flight.
+    before, returned = _barrier_run(depth=0)
+    assert before == TOTAL
+    assert returned == []
+
+
+# -- WorkloadSpec -------------------------------------------------------------
 
 
 class TestWorkloadSpec:
-    def test_legacy_kwargs_warn_and_match_spec(self):
-        configs = _configs(packets=12)
-        platform = SdrPlatform(core_count=4, seed=17)
-        with pytest.warns(DeprecationWarning, match="WorkloadSpec"):
-            legacy = platform.run_workload(
-                configs, dataplane="batched", flush_policy=FLUSH
-            )
-        platform2 = SdrPlatform(core_count=4, seed=17)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # spec path must not warn
-            spec_report = platform2.run_workload(
-                WorkloadSpec(
-                    configs=tuple(configs),
-                    dataplane="batched",
-                    flush_policy=FLUSH,
-                )
-            )
-        assert legacy.packets_done == spec_report.packets_done
-        assert legacy.total_cycles == spec_report.total_cycles
-        assert legacy.payload_bytes == spec_report.payload_bytes
-
     def test_spec_cannot_mix_with_legacy_kwargs(self):
         platform = SdrPlatform(core_count=4, seed=1)
         spec = WorkloadSpec(configs=tuple(_configs(packets=2)))
+        with pytest.raises(TypeError, match="takes a WorkloadSpec"):
+            platform.run_workload(_configs(packets=2))
         with pytest.raises(TypeError):
             platform.run_workload(_configs(packets=2), spec=spec)
         with pytest.raises(TypeError):
             platform.run_workload(spec, spec=spec)
         with pytest.raises(TypeError):
             platform.run_workload(spec, dataplane="batched")
+
+    def test_reused_spec_repeats_exactly(self):
+        """A spec is a value: replaying it on a fresh platform repeats
+        the run exactly, and autotune retunes per-channel copies — never
+        the caller's policy or config."""
+        spec = WorkloadSpec(
+            configs=tuple(_configs(packets=48)),
+            dataplane="pipelined",
+            flush_policy=FlushPolicy(
+                coalesce_limit=4, flush_deadline=8192, mode="auto"
+            ),
+            autotune=True,
+        )
+        policy_before = copy.deepcopy(spec.flush_policy)
+        autotune_before = copy.deepcopy(spec.autotune)
+        runs = []
+        for _ in range(2):
+            _, report, transfers, _ = _run(spec)
+            digest = hashlib.sha256(repr(sorted(transfers.items())).encode())
+            runs.append(
+                (report.total_cycles, digest.hexdigest(), report.autotune_traces)
+            )
+            assert report.autotune_adjustments > 0  # the knobs did move
+        assert runs[0] == runs[1]
+        assert spec.flush_policy == policy_before
+        assert spec.autotune == autotune_before
 
     def test_spec_validates_dataplane_and_depth(self):
         with pytest.raises(ValueError, match="unknown dataplane"):

@@ -9,11 +9,9 @@ the reason recorded, never vanish and never take batch-mates down.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.crypto.fast.exec import ProcessPoolBackend, ResiliencePolicy
 from repro.mccp.channel import FlushPolicy
-from repro.radio.sdr_platform import ChannelConfig, SdrPlatform
+from repro.radio.sdr_platform import ChannelConfig, SdrPlatform, WorkloadSpec
 from repro.radio.standards import RadioStandard
 from repro.radio.traffic import TrafficPattern
 from repro.resilience import FaultPlan, ScriptedFault, set_fault_plan
@@ -46,10 +44,12 @@ def _run(plan, configs=None, backend=None, dataplane="batched", seed=17):
     try:
         platform = SdrPlatform(core_count=4, seed=seed)
         report = platform.run_workload(
-            configs or _configs(),
-            dataplane=dataplane,
-            flush_policy=FLUSH,
-            backend=backend,
+            WorkloadSpec(
+                configs or _configs(),
+                dataplane=dataplane,
+                flush_policy=FLUSH,
+                backend=backend,
+            )
         )
         transfers = {
             (t.channel_id, t.sequence): (t.payload, t.tag, t.ok)

@@ -9,12 +9,14 @@ core busy on one session key's packet stream.  Three mechanisms:
   feedback chain cannot batch across blocks, but N packets' chains are
   mutually independent, so they run as N lanes of one packed ``(4, N)``
   T-table state (:func:`repro.crypto.fast.aes_vector
-  .encrypt_state_vector`): every AES round is a handful of numpy
-  gathers across all lanes.  This is the software restatement of the
-  paper's two-core CCM split — the MAC half stops serialising the
-  batch.  Ragged batches sort lanes by block count so shorter packets
-  simply retire early.  Without numpy, lanes run round-robin through
-  the scalar T-table round, preserving the ragged-lane structure.
+  .encrypt_state_vector`): every AES round is 9 numpy calls across all
+  lanes (one ShiftRows byte gather, four T-table takes and four XORs),
+  the same calls at 8 lanes as at 1024.  This is the software
+  restatement of the paper's two-core CCM split — the MAC half stops
+  serialising the batch.  Ragged batches sort lanes by block count so
+  shorter packets simply retire early.  Without numpy, lanes run
+  round-robin through the scalar T-table round, preserving the
+  ragged-lane structure.
 - **fused counter runs** (:func:`_fused_keystream`) — every packet's
   CTR blocks (and GCM's ``E(J_0)`` tag masks) are mutually
   independent, so the whole batch's counters become one packed

@@ -536,37 +536,55 @@ class SdrPlatform:
         """Per-packet rx decisions and pre-sealed arrivals (None = tx).
 
         The platform plays the peer radio here, outside simulated time:
-        each rx packet is sealed under the channel key and the
+        the rx packets are sealed under the channel key and the
         deterministic per-(channel, sequence) nonce, then the channel
         model decides loss and tag corruption.  All randomness derives
-        from ``(seed, channel_id)`` and is drawn in sequence order, so
-        the same mixed workload replays identically through either
-        dataplane and any execution backend.
+        from ``(seed, channel_id)`` and is drawn in sequence order
+        before any sealing, so the same mixed workload replays
+        identically through either dataplane and any execution backend.
+        The channel's rx packets are sealed as one inline ``*_seal_many``
+        batch, byte-identical to sealing them one by one.
         """
         if rx_fraction <= 0.0 or channel.algorithm not in BATCHABLE_ALGORITHMS:
             return [None] * len(schedule)
-        from repro.crypto.fast.bulk import ccm_seal, gcm_seal
+        from repro.crypto.fast.batch import ccm_seal_many, gcm_seal_many
+        from repro.resilience.faults import injected_faults
 
-        seal = gcm_seal if channel.algorithm is Algorithm.GCM else ccm_seal
+        seal_many = (
+            gcm_seal_many if channel.algorithm is Algorithm.GCM else ccm_seal_many
+        )
         key = self.mccp.key_memory.fetch_for_scheduler(channel.key_id)
         rng = random.Random(
             (self.seed << 20) ^ (channel.channel_id << 4) ^ 0x52585F
         )
-        plans: List[Optional[_RxPlan]] = []
-        for item in schedule:
+        received = []  # (schedule index, nonce, lost, corrupted)
+        for index, item in enumerate(schedule):
             if rng.random() >= rx_fraction:
-                plans.append(None)
                 continue
-            packet = item.packet
-            nonce = self.comm.nonce_for(channel, packet.sequence)
-            ciphertext, tag = seal(
-                key, nonce, packet.payload, packet.header, channel.tag_length
-            )
             lost = rng.random() < loss_rate
             corrupted = not lost and rng.random() < corrupt_rate
+            nonce = self.comm.nonce_for(channel, item.packet.sequence)
+            received.append((index, nonce, lost, corrupted))
+        # The peer is not the device under test: a fault plan's poisoned
+        # nonces (which persist on the plan across runs) must not fail it.
+        with injected_faults(None):
+            sealed = seal_many(
+                key,
+                [
+                    (nonce, schedule[index].packet.payload,
+                     schedule[index].packet.header)
+                    for index, nonce, _, _ in received
+                ],
+                channel.tag_length,
+                backend="inline",
+            )
+        plans: List[Optional[_RxPlan]] = [None] * len(schedule)
+        for (index, nonce, lost, corrupted), (ciphertext, tag) in zip(
+            received, sealed
+        ):
             if corrupted:
                 tag = tag[:-1] + bytes([tag[-1] ^ 0xFF])
-            plans.append(_RxPlan(nonce, ciphertext, tag, lost, corrupted))
+            plans[index] = _RxPlan(nonce, ciphertext, tag, lost, corrupted)
         return plans
 
     def _rx_arrival(

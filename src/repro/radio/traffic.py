@@ -21,11 +21,11 @@ from repro.radio.standards import StandardProfile
 class TrafficPattern(enum.Enum):
     """Arrival-process families."""
 
-    SATURATING = "saturating"   # next packet as soon as possible
-    CBR = "cbr"                 # constant bit rate at the nominal rate
-    BURSTY = "bursty"           # geometric bursts with idle gaps
-    POISSON = "poisson"         # exponential interarrivals at the rate
-    DIURNAL = "diurnal"         # Poisson with a day-shaped rate curve
+    SATURATING = "saturating"  # next packet as soon as possible
+    CBR = "cbr"  # constant bit rate at the nominal rate
+    BURSTY = "bursty"  # geometric bursts with idle gaps
+    POISSON = "poisson"  # exponential interarrivals at the rate
+    DIURNAL = "diurnal"  # Poisson with a day-shaped rate curve
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,14 @@ class TrafficGenerator:
         self._rng = random.Random((seed << 8) ^ channel_id)
 
     def _payload(self, size: int) -> bytes:
-        return bytes(self._rng.getrandbits(8) for _ in range(size))
+        """*size* random bytes, one 32-bit generator word per byte.
+
+        ``getrandbits(8)`` is the top byte of one 32-bit word, and a
+        ``32 * size``-bit draw consumes *size* words lowest first, so
+        taking every word's top byte reproduces the per-byte loop's
+        bytes and generator state in one call.
+        """
+        return self._rng.getrandbits(32 * size).to_bytes(4 * size, "little")[3::4]
 
     def _interarrival_cycles(self) -> int:
         bits = 8 * self.profile.payload_bytes
@@ -98,9 +105,7 @@ class TrafficGenerator:
                 mean = self._interarrival_cycles()
                 phase = seq / max(1, count)
                 load = 0.2 + 0.8 * (0.5 - 0.5 * math.cos(2 * math.pi * phase))
-                cycle += max(
-                    1, int(self._rng.expovariate(load / mean))
-                )
+                cycle += max(1, int(self._rng.expovariate(load / mean)))
             else:  # BURSTY
                 if burst_left > 0:
                     burst_left -= 1

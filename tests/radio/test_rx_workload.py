@@ -9,12 +9,14 @@ everything in :class:`WorkloadReport`.  Decisions derive only from
 identically through both dataplanes and every execution backend.
 """
 
+import random
+
 import pytest
 
 from repro.mccp.channel import FlushPolicy
 from repro.radio.sdr_platform import ChannelConfig, SdrPlatform, WorkloadSpec
 from repro.radio.standards import RadioStandard
-from repro.radio.traffic import TrafficPattern
+from repro.radio.traffic import TrafficGenerator, TrafficPattern
 
 _MIXED = (
     RadioStandard.TACTICAL_VOICE,
@@ -191,3 +193,65 @@ def test_workload_report_latency_excludes_lost_packets(dataplane):
     )
     assert len(report.latencies) == report.packets_done
     assert report.packets_done == 20 - report.rx_lost
+
+
+def _per_packet_rx_plans(platform, channel, schedule, rx, loss, corrupt):
+    """The one-call-per-packet peer seal the batched one must reproduce."""
+    from repro.core.params import Algorithm
+    from repro.crypto.fast.bulk import ccm_seal, gcm_seal
+
+    seal = gcm_seal if channel.algorithm is Algorithm.GCM else ccm_seal
+    key = platform.mccp.key_memory.fetch_for_scheduler(channel.key_id)
+    rng = random.Random(
+        (platform.seed << 20) ^ (channel.channel_id << 4) ^ 0x52585F
+    )
+    plans = []
+    for item in schedule:
+        if rng.random() >= rx:
+            plans.append(None)
+            continue
+        nonce = platform.comm.nonce_for(channel, item.packet.sequence)
+        ciphertext, tag = seal(
+            key, nonce, item.packet.payload, item.packet.header,
+            channel.tag_length,
+        )
+        lost = rng.random() < loss
+        corrupted = not lost and rng.random() < corrupt
+        if corrupted:
+            tag = tag[:-1] + bytes([tag[-1] ^ 0xFF])
+        plans.append((nonce, ciphertext, tag, lost, corrupted))
+    return plans
+
+
+@pytest.mark.parametrize("rates", [(0.6, 0.2, 0.3), (1.0, 0.0, 0.5), (0.3, 1.0, 1.0)])
+def test_batched_peer_seal_matches_per_packet_seal(rates):
+    platform = SdrPlatform(core_count=4, seed=23)
+    for config in _configs(channels=4, packets=24):
+        channel, profile = platform.provision_channel(config)
+        schedule = TrafficGenerator(
+            channel.channel_id, profile, seed=platform.seed
+        ).generate(config.packets)
+        plans = platform._rx_plans(channel, schedule, *rates)
+        expected = _per_packet_rx_plans(platform, channel, schedule, *rates)
+        assert [
+            None if p is None
+            else (p.nonce, p.ciphertext, p.tag, p.lost, p.corrupted)
+            for p in plans
+        ] == expected
+        assert any(p is not None for p in plans)
+
+
+def test_peer_seal_ignores_poisoned_nonces_of_a_reused_fault_plan():
+    """A fault plan keeps its poisoned nonces across runs, and rx nonces
+    repeat per (seed, channel, sequence): the second run's peer seal must
+    not trip over nonces the first run's dispatches poisoned."""
+    from repro.resilience.faults import FaultPlan, injected_faults
+
+    kwargs = dict(rx_fraction=1.0)
+    plan = FaultPlan(seed=5, rates={"batch_error": 0.3})
+    with injected_faults(plan):
+        _, first, first_bytes = _run(_configs(packets=16), "batched", **kwargs)
+        assert plan.poisoned
+        _, second, second_bytes = _run(_configs(packets=16), "batched", **kwargs)
+    assert second_bytes == first_bytes
+    assert second.rx_packets == first.rx_packets == 4 * 16
